@@ -11,10 +11,7 @@ such statements:
   of another).
 """
 
-try:
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
+from repro.analysis.stats import percentile, scipy_stats
 
 
 def ks_statistic(sample_a, sample_b):
@@ -41,16 +38,15 @@ def ks_statistic(sample_a, sample_b):
 def ks_test(sample_a, sample_b):
     """(statistic, p_value).  p_value needs scipy; ``None`` without it."""
     statistic = ks_statistic(sample_a, sample_b)
-    if _scipy_stats is None:
+    stats = scipy_stats()
+    if stats is None:
         return statistic, None
-    result = _scipy_stats.ks_2samp(sample_a, sample_b)
+    result = stats.ks_2samp(sample_a, sample_b)
     return float(result.statistic), float(result.pvalue)
 
 
 def median_shift(sample_a, sample_b):
     """median(a) - median(b): positive when a is slower."""
-    from repro.analysis.stats import percentile
-
     return percentile(sample_a, 50) - percentile(sample_b, 50)
 
 

@@ -4,21 +4,34 @@ The paper reports "mean with 95% confidence interval" for its RTT tables
 (Tables 2 and 5) and min/mean/max for the driver delays (Table 3).
 """
 
+import functools
 import math
-
-try:
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is an install-time dependency
-    _scipy_stats = None
 
 # Two-sided 95% z quantile (fallback when scipy is unavailable or n is large).
 _Z95 = 1.959963984540054
 
 
+@functools.cache
+def scipy_stats():
+    """``scipy.stats``, imported on the first call; ``None`` without scipy.
+
+    Importing ``scipy.stats`` costs about a second and most of a fresh
+    process's memory, while cells, campaigns, reports and the CLI never
+    need it: only the t quantile and the KS p-value do.  Loading it
+    here, once, keeps ``import repro`` light.
+    """
+    try:
+        from scipy import stats
+    except ImportError:
+        return None
+    return stats
+
+
 def _t_quantile(df):
     """Two-sided 95% Student-t quantile for ``df`` degrees of freedom."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.975, df))
+    stats = scipy_stats()
+    if stats is not None:
+        return float(stats.t.ppf(0.975, df))
     # Cornish-Fisher style approximation, adequate for df >= 2.
     z = _Z95
     g1 = (z ** 3 + z) / 4.0
@@ -36,7 +49,7 @@ def mean_ci(values, confidence=0.95):
     values = list(values)
     if not values:
         raise ValueError("mean_ci requires at least one sample")
-    if confidence != 0.95 and _scipy_stats is None:
+    if confidence != 0.95 and scipy_stats() is None:
         raise ValueError("non-default confidence levels require scipy")
     n = len(values)
     mean = sum(values) / n
@@ -44,8 +57,8 @@ def mean_ci(values, confidence=0.95):
         return mean, 0.0
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
-    if _scipy_stats is not None and confidence != 0.95:
-        quantile = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
+    if confidence != 0.95:
+        quantile = float(scipy_stats().t.ppf(0.5 + confidence / 2.0, n - 1))
     else:
         quantile = _t_quantile(n - 1)
     return mean, quantile * sem

@@ -15,11 +15,6 @@ import struct
 import sys
 from array import array
 
-try:  # numpy is a declared dependency; degrade gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
-
 _SWAP_RESULT = sys.byteorder == "little"
 
 
@@ -57,11 +52,17 @@ def internet_checksum_batch(blobs):
     vectorized carry fold.  This is what makes batch packet encoding
     (:func:`repro.net.wire.encode_ipv4_batch`) pay off — the checksum
     is the only part of encoding that touches every payload byte.
+
+    numpy is imported on the first call rather than with the module: no
+    simulated cell encodes in batches, and the import alone would
+    double a fresh process's start-up time.
     """
-    if _np is None:  # stripped install: keep the semantics, lose the speed
-        return [internet_checksum(blob) for blob in blobs]
     if not blobs:
         return []
+    try:
+        import numpy as np
+    except ImportError:  # stripped install: keep the semantics, lose the speed
+        return [internet_checksum(blob) for blob in blobs]
     groups = {}
     for i, blob in enumerate(blobs):
         if not isinstance(blob, (bytes, bytearray)):
@@ -86,14 +87,14 @@ def internet_checksum_batch(blobs):
         # Machine-order words, like the array('H') scalar fold; the
         # one's-complement sum is byte-order independent (RFC 1071
         # §2(B)) so only the folded result is swapped.
-        words = _np.frombuffer(buf, dtype=_np.uint16)
-        sums = words.reshape(len(members), -1).sum(axis=1, dtype=_np.uint64)
-        while (sums >> _np.uint64(16)).any():
-            sums = (sums & _np.uint64(0xFFFF)) + (sums >> _np.uint64(16))
+        words = np.frombuffer(buf, dtype=np.uint16)
+        sums = words.reshape(len(members), -1).sum(axis=1, dtype=np.uint64)
+        while (sums >> np.uint64(16)).any():
+            sums = (sums & np.uint64(0xFFFF)) + (sums >> np.uint64(16))
         if _SWAP_RESULT:
-            sums = (((sums & _np.uint64(0xFF)) << _np.uint64(8))
-                    | (sums >> _np.uint64(8)))
-        for i, value in zip(indices, ((~sums) & _np.uint64(0xFFFF)).tolist()):
+            sums = (((sums & np.uint64(0xFF)) << np.uint64(8))
+                    | (sums >> np.uint64(8)))
+        for i, value in zip(indices, ((~sums) & np.uint64(0xFFFF)).tolist()):
             results[i] = value
     return results
 

@@ -506,10 +506,12 @@ class Simulator:
         is ``<= until`` fires — including events scheduled *at* exactly
         ``until``, and any same-instant events they go on to schedule —
         while events strictly beyond ``until`` are left pending.  After the
-        loop the clock is advanced to exactly ``until`` if it isn't there
-        already, so ``run(until=t)`` always returns with ``now == t`` (or
-        later, if a fired event was already at ``t``).  Returns the final
-        clock value.
+        loop the clock is advanced to exactly ``until`` once nothing at or
+        before ``until`` is pending, so a completed ``run(until=t)``
+        returns with ``now == t``.  A :meth:`stop` can end the run with
+        such events still pending; the clock then stays at the last fired
+        event, so the next :meth:`step` never moves it backwards.
+        Returns the final clock value.
         """
         if self._running:
             raise SchedulerError("Simulator.run() is not re-entrant")
@@ -525,7 +527,10 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and self._now < until:
-            self._now = until
+            # Only a stop() ends the loop with events <= until pending.
+            following = self.peek() if self._stopped else None
+            if following is None or following > until:
+                self._now = until
         return self._now
 
     def _run_fast(self, until):

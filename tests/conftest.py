@@ -10,6 +10,13 @@ from repro.net.switch import Switch
 from repro.sim.scheduler import Simulator
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-bench", action="store_true",
+        help="write the perf_smoke rates to the tracked "
+             "BENCH_simulator.json instead of a temp file")
+
+
 @pytest.fixture
 def sim():
     """A fresh simulator with a fixed seed."""

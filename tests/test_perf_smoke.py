@@ -7,10 +7,13 @@ fast without the full pytest-benchmark suite.  The floors are set far
 below current throughput: they only trip on order-of-magnitude
 regressions, never on machine noise.
 
-The measured rates are written to ``BENCH_simulator.json`` at the repo
-root — the perf trajectory tracked across PRs — and
+The measured rates are written to a session temp file, and
 ``scripts/bench_compare.py`` (exercised last in this module) gates the
-metrics recorded in ``seed_baseline`` against >10% regressions.
+metrics recorded in ``seed_baseline`` against >10% regressions.  A test
+run leaves the tree untouched.  Recording the perf trajectory in the
+tracked ``BENCH_simulator.json`` at the repo root is an explicit step::
+
+    PYTHONPATH=src python -m pytest tests/test_perf_smoke.py --record-bench
 
 Workloads were raised in PR 6 from the seed's 20k chained events / 600
 wire round trips so steady-state throughput is what gets measured: the
@@ -22,6 +25,7 @@ round-trips 3000 probe-id-varied packets through the batch codec.
 
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -47,7 +51,11 @@ _TRAIN_EVENTS = 200_000 + 1_999
 _CHAIN_EVENTS = 100_000
 _WIRE_ROUND_TRIPS = 3_000
 _CAMPAIGN_CELLS = 2
-_SKETCH_OBSERVATIONS = 50_000
+_SKETCH_OBSERVATIONS = 10_000
+#: The two overhead gates time this many interleaved A/B pairs of short
+#: runs (see ``_paired_overhead_pct``).
+_OVERHEAD_PAIRS = 41
+_OVERHEAD_CHAIN_EVENTS = 5_000
 _DECOMPOSITION_CELLS = 2
 _ANALYTIC_CALLS = 20_000
 
@@ -77,10 +85,23 @@ _SEED_BASELINE = {
 _rates = {}
 
 
-def _rate(units, fn):
+@pytest.fixture(scope="module")
+def bench_path(request, tmp_path_factory):
+    """Where the rates go: the tracked ``BENCH_simulator.json`` only with
+    ``--record-bench``, a session temp file otherwise."""
+    if request.config.getoption("--record-bench", default=False):
+        return _BENCH_PATH
+    return tmp_path_factory.mktemp("bench") / "BENCH_simulator.json"
+
+
+def _elapsed(fn):
     start = time.perf_counter()
     fn()
-    elapsed = time.perf_counter() - start
+    return time.perf_counter() - start
+
+
+def _rate(units, fn):
+    elapsed = _elapsed(fn)
     return units / elapsed if elapsed > 0 else float("inf")
 
 
@@ -95,9 +116,37 @@ def _steady_rate(units, fn, rounds=3):
     return max(_rate(units, fn) for _ in range(rounds))
 
 
+def _paired_overhead_pct(baseline, candidate):
+    """How much slower ``candidate`` runs than ``baseline``, in percent.
+
+    The two run back to back in each of ``_OVERHEAD_PAIRS`` pairs,
+    alternating which goes first, and the estimate is the median over
+    pairs of ``1 - baseline_time / candidate_time``.  Host load on a shared
+    machine comes in bursts that swing single runs by 20-40%: a burst
+    slows both members of a pair alike, and the median drops the few
+    pairs a burst splits.  Best-of-N rates taken on each side
+    separately do neither, which made these gates flaky.
+    """
+    ratios = []
+    for index in range(_OVERHEAD_PAIRS):
+        if index % 2:
+            candidate_s = _elapsed(candidate)
+            baseline_s = _elapsed(baseline)
+        else:
+            baseline_s = _elapsed(baseline)
+            candidate_s = _elapsed(candidate)
+        ratios.append(1.0 - baseline_s / candidate_s)
+    return max(0.0, statistics.median(ratios) * 100.0)
+
+
 @pytest.mark.perf_smoke
 def test_smoke_scheduler_train_rate():
-    """Headline gate: batched periodic-train steady state (>=3.2M/s)."""
+    """Headline gate: batched periodic-train steady state.
+
+    Two floors apply: this test asserts more than 500,000 events/s, and
+    ``scripts/bench_compare.py`` fails the rate below 90% of its
+    644,621 events/s seed baseline (580,159 events/s).
+    """
 
     def run():
         sim = Simulator(seed=1)
@@ -229,11 +278,13 @@ class _ReferenceSimulator(Simulator):
 def test_smoke_obs_disabled_overhead():
     """Disabled metrics/spans/tracing must stay ~free on the hot loop.
 
-    Best-of-3 interleaved runs of the chain workload on the stock
-    Simulator (obs attached but disabled) versus the reference replica
-    above; the gate is the relative throughput loss.  3% is far above
-    the one-attribute-check-per-run() cost actually added — the assert
-    only trips if instrumentation leaks into the per-event path.
+    Paired runs (``_paired_overhead_pct``) of a short chain workload on
+    the stock Simulator (obs attached but disabled) versus the reference
+    replica above; the gate is the relative throughput loss.  3% is far
+    above the one-attribute-check-per-run() cost actually added — the
+    assert only trips if instrumentation leaks into the per-event path.
+    Short runs let many pairs fit in about a second, each pair inside
+    one host-load window.
     """
 
     def workload(sim_cls):
@@ -243,20 +294,17 @@ def test_smoke_obs_disabled_overhead():
 
             def tick():
                 count[0] += 1
-                if count[0] < 20_000:
+                if count[0] < _OVERHEAD_CHAIN_EVENTS:
                     sim.schedule(1e-4, tick)
 
             sim.schedule(0.0, tick)
             sim.run()
-            assert count[0] == 20_000
+            assert count[0] == _OVERHEAD_CHAIN_EVENTS
 
         return run
 
-    ref_rate = sim_rate = 0.0
-    for _ in range(3):
-        ref_rate = max(ref_rate, _rate(20_000, workload(_ReferenceSimulator)))
-        sim_rate = max(sim_rate, _rate(20_000, workload(Simulator)))
-    overhead = max(0.0, (ref_rate - sim_rate) / ref_rate * 100.0)
+    overhead = _paired_overhead_pct(workload(_ReferenceSimulator),
+                                    workload(Simulator))
     _rates["obs_disabled_overhead_pct"] = overhead
     assert overhead <= 3.0
 
@@ -275,9 +323,10 @@ def test_smoke_sketch_observe_overhead():
 
     ``Histogram.observe`` pays one ``DDSketch.add`` (a ``log`` plus one
     dict update) on top of the bucket scan and min/max/sum bookkeeping.
-    Best-of-3 A/B of the same histogram with the sketch swapped for a
-    no-op: currently ~50% (the log costs about as much as the bisect
-    and stats updates combined); the 60% gate trips if sketch
+    Paired A/B (``_paired_overhead_pct``) of the same histogram with the
+    sketch swapped for a no-op: currently ~50% (the log costs about as
+    much as the bisect and stats updates combined); the 60% gate trips
+    if sketch
     maintenance grows real work (a rebalancing pass, per-add
     allocation), which would erode the "enable metrics freely" story
     of docs/OBSERVABILITY.md.
@@ -300,13 +349,7 @@ def test_smoke_sketch_observe_overhead():
 
         return run
 
-    with_rate = without_rate = 0.0
-    for _ in range(3):
-        without_rate = max(without_rate,
-                           _rate(_SKETCH_OBSERVATIONS, workload(True)))
-        with_rate = max(with_rate,
-                        _rate(_SKETCH_OBSERVATIONS, workload(False)))
-    overhead = max(0.0, (without_rate - with_rate) / without_rate * 100.0)
+    overhead = _paired_overhead_pct(workload(True), workload(False))
     _rates["sketch_observe_overhead_pct"] = overhead
     assert overhead <= 60.0
 
@@ -516,7 +559,7 @@ def test_smoke_lint_full_repo_under_budget():
 
 
 @pytest.mark.perf_smoke
-def test_smoke_emits_bench_json():
+def test_smoke_emits_bench_json(bench_path):
     """Persist the rates measured above (runs late in this module)."""
     assert set(_rates) == {"scheduler_events_per_sec",
                            "scheduler_chain_events_per_sec",
@@ -541,16 +584,18 @@ def test_smoke_emits_bench_json():
         "decomposition_cells": _DECOMPOSITION_CELLS,
         "analytic_predict_calls": _ANALYTIC_CALLS,
         "sketch_observations": _SKETCH_OBSERVATIONS,
+        "overhead_pairs": _OVERHEAD_PAIRS,
+        "overhead_chain_events": _OVERHEAD_CHAIN_EVENTS,
         "store_probe_specs": 200,
         "cache_warm_cells": 50,
     }
-    _BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                           encoding="utf-8")
-    assert json.loads(_BENCH_PATH.read_text())
+    bench_path.write_text(json.dumps(payload, indent=2) + "\n",
+                          encoding="utf-8")
+    assert json.loads(bench_path.read_text())
 
 
 @pytest.mark.perf_smoke
-def test_smoke_bench_compare_gate():
+def test_smoke_bench_compare_gate(bench_path):
     """The regression gate itself: scripts/bench_compare.py must pass
     on the numbers just written (runs after the emit above)."""
     scripts = _REPO_ROOT / "scripts"
@@ -558,4 +603,4 @@ def test_smoke_bench_compare_gate():
         sys.path.insert(0, str(scripts))
     import bench_compare
 
-    assert bench_compare.main(["--bench", str(_BENCH_PATH)]) == 0
+    assert bench_compare.main(["--bench", str(bench_path)]) == 0

@@ -85,6 +85,21 @@ class TestRunControl:
         assert fired == [1]
         assert sim.pending() == 1
 
+    def test_stop_with_until_keeps_clock_before_pending_events(self, sim):
+        fired = []
+        sim.at(1.0, sim.stop)
+        sim.at(2.0, fired.append, 2)
+        assert sim.run(until=5.0) == 1.0
+        assert sim.step() is True
+        assert fired == [2]
+        assert sim.now == 2.0
+
+    def test_stop_with_until_advances_clock_past_nothing_pending(self, sim):
+        sim.at(1.0, sim.stop)
+        sim.at(7.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+        assert sim.pending() == 1
+
     def test_run_is_not_reentrant(self, sim):
         def nested():
             with pytest.raises(SchedulerError):
