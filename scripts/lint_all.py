@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""One-shot lint runner: the full engine plus both legacy wrappers.
+"""One-shot lint runner: the full ``repro.lint`` engine over ``src/``.
 
-Runs ``repro.lint`` with every registered rule over ``src/`` (the same
-thing ``repro lint`` does), then the two legacy entry points —
-``check_trace_guards.py`` and ``check_registries.py`` — so a CI job
-gets one command and one exit code, and any drift between the engine
-and its wrappers shows up as a verdict mismatch here.
+Runs every registered rule (the same thing ``repro lint`` does) so a
+CI job gets one command and one exit code without installing the
+package.
 
 Usage::
 
@@ -18,13 +16,9 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-SCRIPTS = REPO_ROOT / "scripts"
-for entry in (str(SRC), str(SCRIPTS)):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
-import check_registries  # noqa: E402
-import check_trace_guards  # noqa: E402
 from repro.lint import load_baseline, render, run_lint  # noqa: E402
 
 
@@ -40,22 +34,7 @@ def main(argv=None):
     baseline = load_baseline(args.baseline) if args.baseline else None
     result = run_lint(SRC, baseline=baseline)
     print(render(result, args.format))
-
-    # The wrappers run the same rules; they are re-executed here so a
-    # wrapper/engine verdict mismatch fails loudly instead of rotting.
-    trace_code = check_trace_guards.main([str(SRC)])
-    registry_code = check_registries.main([])
-    if bool(trace_code) != any(f.rule_id in ("RL001", "RL002")
-                               for f in result.findings):
-        print("verdict mismatch: check_trace_guards.py disagrees with "
-              "the engine's RL001/RL002 findings")
-        return 2
-    if bool(registry_code) != any(f.rule_id == "RL301"
-                                  for f in result.findings):
-        print("verdict mismatch: check_registries.py disagrees with "
-              "the engine's RL301 findings")
-        return 2
-    return 1 if (result.exit_code or trace_code or registry_code) else 0
+    return result.exit_code
 
 
 if __name__ == "__main__":

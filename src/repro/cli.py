@@ -125,16 +125,14 @@ def cmd_campaign(args):
         phones=tuple(args.phones), rtts=tuple(r * 1e-3 for r in args.rtts),
         tools=tuple(args.tools), count=args.count, base_seed=args.seed,
     )
-    workers = args.workers if args.workers > 0 else None
-    verb = "running" if workers == 1 and args.shards is None else "finished"
     campaign.run(
-        workers=workers,
+        workers=args.workers if args.workers > 0 else None,
         collect_metrics=bool(args.metrics_out or args.report_out),
         checkpoint=args.checkpoint, resume=args.resume,
         cell_timeout=args.cell_timeout, retries=args.retries,
         retry_backoff=args.retry_backoff,
         shards=args.shards, store=args.store,
-        progress=lambda spec: print(f"  {verb} {spec.describe()}..."))
+        progress=lambda spec: print(f"  finished {spec.describe()}"))
     table = Table(["Env", "Phone", "RTT", "Tool", "median (ms)",
                    "error (ms)", "n"],
                   title="Campaign results")
@@ -145,22 +143,21 @@ def cmd_campaign(args):
                       result.tool, f"{stats.median * 1e3:.2f}",
                       f"{result.error() * 1e3:.2f}", stats.n)
     print(table)
-    if campaign.run_metrics is not None:
-        counters = {metric["name"]: metric["value"]
-                    for metric in campaign.run_metrics["metrics"]}
-        resumed = counters.get("campaign.cells_resumed", 0)
-        retries = counters.get("campaign.retries", 0)
-        if resumed or retries:
-            print(f"resumed {resumed} cell(s) from checkpoint, "
-                  f"{retries} retr{'y' if retries == 1 else 'ies'}")
-        hits = counters.get("campaign.cache_hits", 0)
-        misses = counters.get("campaign.cache_misses", 0)
+    counters = {metric["name"]: metric["value"]
+                for metric in campaign.run_metrics["metrics"]}
+    resumed = counters.get("campaign.cells_resumed", 0)
+    retries = counters.get("campaign.retries", 0)
+    if resumed or retries:
+        print(f"resumed {resumed} cell(s) from checkpoint, "
+              f"{retries} retr{'y' if retries == 1 else 'ies'}")
+    hits = counters.get("campaign.cache_hits", 0)
+    misses = counters.get("campaign.cache_misses", 0)
+    if args.store:
+        print(f"store cache: {hits} hit(s), {misses} miss(es)")
+    if args.shards is not None:
+        planned = counters.get("campaign.shards_planned", 0)
         stolen = counters.get("campaign.shards_stolen", 0)
-        if args.store:
-            print(f"store cache: {hits} hit(s), {misses} miss(es)")
-        if args.shards is not None:
-            planned = counters.get("campaign.shards_planned", 0)
-            print(f"shards: {planned} dispatched, {stolen} stolen")
+        print(f"shards: {planned} dispatched, {stolen} stolen")
     if campaign.quarantine:
         bad = Table(["Env", "Phone", "RTT", "Tool", "kind", "attempts",
                      "error"],

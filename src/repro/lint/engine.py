@@ -98,7 +98,7 @@ def run_lint(root, rules=None, baseline=None, include_project_rules=True):
     """Lint one tree (or file) and return a :class:`LintResult`.
 
     ``rules`` defaults to every registered rule; pass an explicit list
-    to run a subset (the legacy wrapper scripts do).  ``baseline`` is a
+    to run a subset (the tests run the obs-guard pair alone).  ``baseline`` is a
     loaded :class:`~repro.lint.baseline.Baseline`; matched findings move
     to ``result.baselined`` and never fail the run.
     """

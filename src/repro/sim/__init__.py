@@ -11,18 +11,17 @@ event-driven simulator.  The design goals are:
   :class:`~repro.sim.trace.TraceRecorder` can capture every interesting
   transition for tests and debugging.
 * **Callback style** — components schedule plain callables.  Periodic
-  work uses :meth:`~repro.sim.scheduler.Simulator.schedule_periodic`
-  trains (batched on the fast path); helper classes
-  (:class:`~repro.sim.timers.Timer`,
-  :class:`~repro.sim.timers.PeriodicTimer`) cover the recurring patterns
-  used by drivers (watchdogs) and access points (beacons).
+  work (driver watchdogs, access-point beacons) uses
+  :meth:`~repro.sim.scheduler.Simulator.schedule_periodic` trains
+  (batched on the fast path); :class:`~repro.sim.timers.Timer` covers
+  the restartable idle timeouts.
 """
 
 from repro.sim.errors import SchedulerError, SimTimeError, SimulationError
 from repro.sim.events import Event, PeriodicEvent
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import Timer
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import (
     KIBIBYTE,
@@ -42,7 +41,6 @@ from repro.sim.units import (
 __all__ = [
     "Event",
     "PeriodicEvent",
-    "PeriodicTimer",
     "RngRegistry",
     "SchedulerError",
     "SimTimeError",

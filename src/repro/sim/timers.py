@@ -1,10 +1,11 @@
-"""Restartable and periodic timers.
+"""Restartable one-shot timers.
 
 Device models in this code base are full of idle timeouts — the SDIO
 demotion watchdog, the adaptive-PSM timeout, TCP retransmission — all of
 which follow the same "arm, maybe restart, maybe cancel" pattern that
-:class:`Timer` captures.  :class:`PeriodicTimer` covers strictly periodic
-behaviour such as 802.11 beacon generation and the driver watchdog tick.
+:class:`Timer` captures.  Strictly periodic behaviour (802.11 beacons,
+the driver watchdog tick) uses
+:meth:`~repro.sim.scheduler.Simulator.schedule_periodic` trains directly.
 """
 
 
@@ -51,56 +52,3 @@ class Timer:
     def _fire(self):
         self._event = None
         self._callback()
-
-
-class PeriodicTimer:
-    """A strictly periodic timer.
-
-    Fires every ``period`` seconds from the moment :meth:`start` is called
-    (first firing after one full period, matching a hardware timer armed at
-    boot).  Deadlines are computed from the start epoch, not from firing
-    times, so callback latency cannot cause drift.
-
-    A thin wrapper over
-    :meth:`~repro.sim.scheduler.Simulator.schedule_periodic`: one armed
-    :class:`~repro.sim.events.PeriodicEvent` carries the whole train, the
-    scheduler re-arms it in place (batching ticks on its fast path), and
-    the successor is armed *before* the callback runs so the callback can
-    :meth:`stop` the timer and have that stick.
-    """
-
-    def __init__(self, sim, period, callback, label=""):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        self._sim = sim
-        self.period = period
-        self._callback = callback
-        self._train = None
-        self.label = label
-
-    @property
-    def running(self):
-        """Whether the timer is currently generating ticks."""
-        return self._train is not None and not self._train.canceled
-
-    @property
-    def ticks(self):
-        """Number of times the callback has fired since :meth:`start`."""
-        return self._train.ticks if self._train is not None else 0
-
-    def start(self, phase=0.0):
-        """Start ticking.  ``phase`` delays the first tick (0 <= phase < period)."""
-        self.stop()
-        self._train = self._sim.schedule_periodic(
-            self.period, self._callback, phase=phase,
-            label=self.label or "periodic",
-        )
-
-    def stop(self):
-        """Stop ticking.  :attr:`ticks` keeps its count until the next start."""
-        if self._train is not None and not self._train.canceled:
-            self._train.cancel()
-
-    def next_deadline(self):
-        """Absolute time of the next tick, or ``None`` when stopped."""
-        return self._train.time if self.running else None

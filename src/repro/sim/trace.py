@@ -13,7 +13,7 @@ keyword-argument packing entirely when tracing is off::
     if sim.trace.enabled:
         sim.trace.record(sim.now, "sdio", "bus sleep", bus=self.name)
 
-(``scripts/check_trace_guards.py`` lints that every call site keeps the
+(``repro lint`` rule ``RL001`` checks that every call site keeps the
 guard.)  The recorder keeps a per-category index so
 ``select(category=...)`` is O(matches), and counts records dropped by
 the ``limit`` per category.

@@ -1,21 +1,16 @@
-"""Sharded campaign fabric: deterministic planning plus work stealing.
+"""The campaign runner: deterministic shard planning plus work stealing.
 
-:class:`~repro.testbed.parallel.ParallelCampaignRunner` shards a grid
-into *contiguous* chunks — fine inside one process pool, but fleet-scale
-sweeps (ROADMAP item 5) need shard membership that is stable across
-machines, restarts, and grid growth.  This module keys sharding on the
-cell's content address instead:
+Every :meth:`~repro.testbed.campaign.Campaign.run` executes through
+:class:`FabricRunner`; serial, worker-pool, and sharded runs differ
+only in whether a transport carries the cells out of process:
 
 * **Planner** — :func:`plan_shards` assigns every cell to
   ``shard_index(spec.fingerprint(), n)``; the assignment is a pure
   function of (spec, shard count), so two hosts planning the same grid
-  agree without talking to each other.  :func:`replan` handles dead
-  workers: cells on surviving shards never move, and a dead shard's
-  cells re-hash deterministically over the survivors.
+  agree without talking to each other.
 * **Transport seam** — a shard travels as one JSON-ready task payload
   (``{"shard": n, "collect_metrics": ..., "policy": ..., "specs":
-  [...]}``) and comes back as a list of JSON-ready cell records, the
-  same wire shape the process-pool protocol uses.
+  [...]}``) and comes back as a list of JSON-ready cell records.
   :class:`InProcessTransport` and :class:`MultiprocessTransport`
   implement the seam today; a socket transport for remote hosts only
   has to move the same two payloads.
@@ -24,29 +19,37 @@ cell's content address instead:
   failed (worker killed, pool broken), re-running its cells in-process
   under the same fault policy.  A stolen shard's cells produce the
   same results they would have produced remotely, so stealing never
-  perturbs the output.
+  perturbs the output.  Without a transport the whole pending grid is
+  one such in-process shard, run in grid order: the serial runner.
 
-The runner composes with the rest of the resilience stack unchanged:
-checkpoint journal resume first, then the persistent
-:class:`~repro.testbed.store.ResultStore` cache, and only the remaining
-cells are planned into shards.  The campaign invariant stays absolute —
-serial == parallel == sharded == resumed == cache-warm runs emit
-bit-identical results, merged metrics, and reports (pinned by
-``tests/test_fabric.py``).  See ``docs/FABRIC.md``.
+Before anything executes, the runner consults the checkpoint journal
+(resume), then the persistent :class:`~repro.testbed.store.ResultStore`
+cache; only the remaining cells run.  A cell's outcome depends only on
+its spec, so serial == worker-pool == sharded == resumed == cache-warm
+runs emit bit-identical results, merged metrics, and reports (pinned
+by ``tests/test_fabric.py``).  See ``docs/FABRIC.md``.
 """
 
 import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
+import os
 
 from repro.obs import names as _names
 from repro.obs.metrics import MetricsRegistry
-from repro.testbed import parallel as _parallel
+from repro.testbed import campaign as _campaign
 from repro.testbed import resilience as _resilience
+from repro.testbed.scenario import ScenarioSpec
+from repro.testbed.store import ResultStore
 
 #: Hex digits of the fingerprint used as the shard key.  64 bits of a
 #: SHA-256 is plenty for balance and keeps the arithmetic exact in
 #: every JSON-adjacent runtime a future socket transport might talk to.
 _KEY_HEX_DIGITS = 16
+
+#: Shards planned per pool worker for ``Campaign.run(workers=N)``:
+#: enough that a slow cell does not serialise the tail of the run, few
+#: enough to amortise task dispatch.
+SHARDS_PER_WORKER = 4
 
 
 def shard_index(fingerprint, shard_count):
@@ -102,54 +105,68 @@ def plan_shards(cells, shard_count, fingerprints=None):
     return ShardPlan(shard_count, shards, assignments)
 
 
-def replan(plan, dead, fingerprints=None):
-    """Reassign the cells of ``dead`` shard ids over the survivors.
-
-    Cells on surviving shards keep their assignment untouched; each
-    dead shard's cells re-hash over the sorted list of surviving shard
-    ids (``alive[shard_index(fp, len(alive))]``), so any two hosts that
-    agree on who died agree on the new plan without coordination.
-    ``fingerprints`` optionally maps grid index -> fingerprint to skip
-    re-hashing specs.
-    """
-    dead = set(dead)
-    alive = [sid for sid in range(plan.shard_count) if sid not in dead]
-    if not alive:
-        raise ValueError("replan requires at least one surviving shard")
-    shards = [[] for _ in range(plan.shard_count)]
-    assignments = {}
-    by_fingerprint = {}
-    for sid, shard in enumerate(plan.shards):
-        for index, spec in shard:
-            if fingerprints is not None and index in fingerprints:
-                fingerprint = fingerprints[index]
-            else:
-                fingerprint = spec.fingerprint()
-            by_fingerprint[fingerprint] = (sid, index, spec)
-    for fingerprint, (sid, index, spec) in by_fingerprint.items():
-        if sid in dead:
-            sid = alive[shard_index(fingerprint, len(alive))]
-        shards[sid].append((index, spec))
-        assignments[fingerprint] = sid
-    # Keep grid order inside each shard regardless of donor shard.
-    shards = [sorted(shard) for shard in shards]
-    return ShardPlan(plan.shard_count, shards, assignments)
-
-
 # -- the transport seam -------------------------------------------------------
+
+
+def default_worker_count():
+    """One worker per CPU (at least one)."""
+    return os.cpu_count() or 1
+
+
+def pool_context(start_method=None):
+    """The preferred multiprocessing context, or ``None`` if unusable.
+
+    ``fork`` when the platform offers it (cheapest, and fork workers
+    inherit chaos-test monkeypatching), otherwise the platform default;
+    an explicitly requested method that the platform lacks yields
+    ``None`` so callers fall back to in-process execution.
+    """
+    try:
+        methods = multiprocessing.get_all_start_methods()
+        if start_method is not None:
+            if start_method not in methods:
+                return None
+            return multiprocessing.get_context(start_method)
+        if "fork" in methods:
+            return multiprocessing.get_context("fork")
+        return multiprocessing.get_context()
+    except (ValueError, OSError):  # pragma: no cover - exotic platforms
+        return None
+
+
+def _run_cell(spec, policy, collect_metrics):
+    """One cell under the optional fault policy: ``(result, stats)``.
+
+    Without a policy a raising cell propagates (failing the sweep, the
+    historical contract).  ``run_cell`` is resolved through the
+    campaign module at call time so fork-started workers observe
+    chaos-test monkeypatching.
+    """
+    if policy is None:
+        result = _campaign.run_cell(spec, collect_metrics=collect_metrics)
+        return result, {"attempts": 1, "timeouts": 0}
+    return _resilience.run_cell_with_policy(
+        spec, policy, collect_metrics=collect_metrics)
 
 
 def run_shard_payload(task):
     """Execute one shard task payload; returns its cell record list.
 
-    The executable half of the wire protocol: ``task`` is the JSON-ready
-    dict a transport moves to a worker, the return value the JSON-ready
-    record list it moves back.  Delegates to the process-pool shard
-    body so every transport shares one execution path (including the
-    chaos choke point on ``campaign.run_cell``).
+    The executable half of the wire protocol and the only worker body:
+    ``task`` is the JSON-ready dict a transport moves to a worker, the
+    return value the JSON-ready record list it moves back, one
+    ``{"cell": {...}, "attempts": n, "timeouts": m}`` per spec.
+    Module-level so it pickles under every start method.
     """
-    return _parallel._run_shard((task["collect_metrics"], task["policy"],
-                                 task["specs"]))
+    policy = task["policy"]
+    if policy is not None:
+        policy = _resilience.FaultPolicy.from_dict(policy)
+    records = []
+    for payload in task["specs"]:
+        result, stats = _run_cell(ScenarioSpec.from_dict(payload), policy,
+                                  task["collect_metrics"])
+        records.append({"cell": result.to_dict(), **stats})
+    return records
 
 
 class ShardTransport:
@@ -186,11 +203,13 @@ class InProcessTransport(ShardTransport):
 class MultiprocessTransport(ShardTransport):
     """One process-pool future per shard; a broken pool fails per-shard.
 
-    Worker processes are long-lived and reused across shards.  A shard
-    whose worker dies (or whose pool cannot deliver) is reported as a
-    per-shard failure rather than failing the dispatch, so the runner
-    can steal exactly the affected shards; if the pool cannot be
-    created at all, every task falls back to in-process execution.
+    Worker processes are long-lived and reused across shards; the pool
+    has ``workers`` processes (default one per CPU), never more than
+    there are shards.  A shard whose worker dies (or whose pool cannot
+    deliver) is reported as a per-shard failure rather than failing the
+    dispatch, so the runner can steal exactly the affected shards; if
+    the pool cannot be created at all (e.g. an unavailable
+    ``start_method``), every task runs in-process instead.
     """
 
     def __init__(self, workers=None, start_method=None):
@@ -200,8 +219,8 @@ class MultiprocessTransport(ShardTransport):
     def dispatch(self, tasks):
         if not tasks:
             return
-        context = _parallel.pool_context(self.start_method)
-        workers = self.workers or _parallel.default_worker_count()
+        context = pool_context(self.start_method)
+        workers = self.workers or default_worker_count()
         workers = max(1, min(workers, len(tasks)))
         if context is None:
             yield from InProcessTransport().dispatch(tasks)
@@ -218,126 +237,186 @@ class MultiprocessTransport(ShardTransport):
             for task, future in zip(tasks, futures):
                 try:
                     yield task["shard"], future.result(), None
-                except (BrokenProcessPool, OSError) as exc:
-                    yield task["shard"], None, exc
-                except Exception as exc:
+                except Exception as exc:  # BrokenProcessPool included
                     yield task["shard"], None, exc
 
 
-# -- the sharded runner -------------------------------------------------------
+# -- the runner ---------------------------------------------------------------
 
 
-class FabricRunner(_parallel.ParallelCampaignRunner):
-    """Execute a campaign as fingerprint-keyed shards over a transport.
-
-    Extends the parallel runner with content-addressed shard planning
-    and work stealing; the cache pre-pass (journal resume, then result
-    store), per-cell fault policy, counters, and finalisation are all
-    inherited, so every execution mode shares one merge path.
+class FabricRunner:
+    """Execute a :class:`~repro.testbed.campaign.Campaign` grid.
 
     Parameters
     ----------
     campaign:
-        The campaign whose grid should be executed.
+        The campaign whose grid should be executed.  Its ``results``,
+        ``quarantine`` and ``run_metrics`` are replaced by :meth:`run`.
     shard_count:
-        How many shards to plan.  Balance follows the fingerprint hash,
-        so shards are near-equal for any real grid.
+        How many fingerprint-keyed shards to plan for the transport.
+        Balance follows the fingerprint hash, so shards are near-equal
+        for any real grid.
     transport:
-        A :class:`ShardTransport`; default
-        :class:`MultiprocessTransport` (one future per shard).
-    workers:
-        Worker hint forwarded to the default transport.
+        A :class:`ShardTransport`, or ``None`` to run every pending
+        cell in-process, in grid order (the serial runner).
     """
 
-    def __init__(self, campaign, shard_count, transport=None, workers=None):
-        super().__init__(campaign, workers=workers)
+    def __init__(self, campaign, shard_count=1, transport=None):
         if shard_count < 1:
             raise ValueError(
                 f"shard_count must be >= 1, got {shard_count!r}")
+        self.campaign = campaign
         self.shard_count = shard_count
-        self.transport = (MultiprocessTransport(workers=workers)
-                          if transport is None else transport)
-        #: The :class:`ShardPlan` of the most recent run (pending cells
-        #: only — cached cells are never planned).
+        self.transport = transport
+        #: The :class:`ShardPlan` of the most recent transport run
+        #: (pending cells only — cached cells are never planned).
         self.plan = None
+        #: Runner counters for the most recent run (``campaign.*``).
+        self.metrics = MetricsRegistry(enabled=True)
 
-    def _steal_shard(self, state, shard, progress, policy,
-                     collect_metrics):
-        """Re-run a failed shard's cells in-process (work stealing).
+    def _count(self, name, amount=1):
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc(name, amount)
 
-        A stolen cell is deterministic, so the steal reproduces exactly
-        what the lost worker would have returned; without a fault
-        policy a genuinely raising cell still fails the sweep, the
-        historical contract.
+    def _prepare(self, cells, cache):
+        """The cache pre-pass: journal first, then the result store.
+
+        ``cache`` is the loaded checkpoint journal (``{}`` unless
+        resuming).  A cached cell is installed into its slot at once —
+        counted as ``campaign.cells_resumed`` or ``campaign.cache_hits``,
+        with ``progress`` fired — and only the remainder comes back as
+        pending ``(index, spec)`` pairs.
         """
-        for index, spec in shard:
-            result, stats = self._run_cell(spec, policy, collect_metrics)
-            self._merge_cell(state, index, spec, result, stats,
-                             progress=progress)
+        store = self._store
+        pending = []
+        for index, spec in enumerate(cells):
+            fingerprint = self._fingerprints[index]
+            payload = cache.get(fingerprint)
+            if payload is not None:
+                self._count(_names.CAMPAIGN_CELLS_RESUMED)
+            elif store is not None:
+                payload = store.get(fingerprint)
+                if payload is not None:
+                    self._count(_names.CAMPAIGN_CACHE_HITS)
+            if payload is None:
+                pending.append((index, spec))
+                continue
+            self._slots[index] = _resilience.result_from_dict(payload)
+            if self._progress is not None:
+                self._progress(spec)
+        if store is not None:
+            self._count(_names.CAMPAIGN_CACHE_MISSES, len(pending))
+        return pending
+
+    def _merge_cell(self, index, spec, result, stats):
+        """Install one finished cell: slot, counters, journal, store."""
+        self._slots[index] = result
+        self._count(_names.CAMPAIGN_RETRIES, stats["attempts"] - 1)
+        self._count(_names.CAMPAIGN_CELL_TIMEOUTS, stats["timeouts"])
+        if result.failure:
+            self._count(_names.CAMPAIGN_CELLS_QUARANTINED)
+        else:
+            self._count(_names.CAMPAIGN_CELLS_RUN)
+            fingerprint = self._fingerprints[index]
+            if self._journal is not None:
+                self._journal.append(fingerprint, result)
+                self._count(_names.CAMPAIGN_CHECKPOINT_WRITES)
+            if self._store is not None:
+                self._store.put(fingerprint, result)
+                self._count(_names.CAMPAIGN_STORE_WRITES)
+        if self._progress is not None:
+            self._progress(spec)
+
+    def _run_local(self, cells):
+        """Run ``(index, spec)`` cells in-process, in order, merging each.
+
+        The serial runner and the steal path for a failed shard: cells
+        are deterministic, so a stolen shard reproduces exactly what
+        its lost worker would have returned.
+        """
+        for index, spec in cells:
+            result, stats = _run_cell(spec, self._policy,
+                                      self._collect_metrics)
+            self._merge_cell(index, spec, result, stats)
+
+    def _run_sharded(self, pending):
+        """Plan ``pending`` into shards, dispatch, steal, merge."""
+        plan = plan_shards(pending, self.shard_count,
+                           fingerprints=[self._fingerprints[index]
+                                         for index, _ in pending])
+        self.plan = plan
+        shards = [(sid, shard) for sid, shard in enumerate(plan.shards)
+                  if shard]
+        self._count(_names.CAMPAIGN_SHARDS_PLANNED, len(shards))
+        policy = None if self._policy is None else self._policy.to_dict()
+        tasks = [{"shard": sid, "collect_metrics": self._collect_metrics,
+                  "policy": policy,
+                  "specs": [spec.to_dict() for _, spec in shard]}
+                 for sid, shard in shards]
+        for sid, records, error in self.transport.dispatch(tasks):
+            shard = plan.shards[sid]
+            if error is not None:
+                self._count(_names.CAMPAIGN_SHARDS_STOLEN)
+                self._run_local(shard)
+                continue
+            for (index, spec), record in zip(shard, records):
+                result = _resilience.result_from_dict(record["cell"])
+                self._merge_cell(index, spec, result, record)
 
     def run(self, progress=None, collect_metrics=False, checkpoint=None,
             resume=False, fault_policy=None, store=None):
-        """Plan, dispatch, steal, merge; returns the result list.
+        """Execute the grid and install the merged results.
 
-        Same contract as the parallel runner (``progress`` exactly once
-        per cell; bit-identical results, merged metrics, and reports),
-        except that ``progress`` fires in shard order rather than grid
-        order while the grid is in flight — the installed results are
-        in grid order regardless.  ``self.mode`` ends as ``"sharded"``,
-        and ``campaign.shards_stolen`` counts shards whose transport
-        execution failed and were re-run in-process.
+        ``progress(spec)`` fires exactly once per cell, as its result is
+        installed: up front for cells served by the journal or store,
+        then in grid order (serial) or shard order (transport) for the
+        rest.  ``checkpoint`` (a path) journals every successful cell;
+        ``resume=True`` first re-emits the cells already journaled
+        there.  ``store`` (a path or
+        :class:`~repro.testbed.store.ResultStore`) serves cells any
+        earlier run computed and records fresh ones.  ``fault_policy``
+        applies a per-cell timeout/retry budget; cells that exhaust it
+        land on ``campaign.quarantine``.  Without a policy, a raising
+        cell fails the run.
+
+        Returns the successful result list (also assigned to
+        ``campaign.results``, in grid order); ``campaign.run_metrics``
+        receives this run's counter snapshot.
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
         campaign = self.campaign
         cells = list(campaign.cells())
         self.metrics = MetricsRegistry(enabled=True)
-        state = {
-            "slots": [None] * len(cells),
-            # Sharding keys on content addresses, so pay for the
-            # fingerprints up front even without checkpoint or store.
-            "fingerprints": [spec.fingerprint() for spec in cells],
-            "journal": None,
-            "store": None,
-            "merged": 0,
-        }
-        journal, store, pending = self._prepare(
-            cells, state, checkpoint, resume, store, progress)
-        plan = plan_shards(
-            pending, self.shard_count,
-            fingerprints=[state["fingerprints"][index]
-                          for index, _ in pending])
-        self.plan = plan
-        shards = [(sid, shard) for sid, shard in enumerate(plan.shards)
-                  if shard]
-        self._count(_names.CAMPAIGN_SHARDS_PLANNED, len(shards))
-        policy_payload = (None if fault_policy is None
-                          else fault_policy.to_dict())
-        tasks = [{"shard": sid,
-                  "collect_metrics": collect_metrics,
-                  "policy": policy_payload,
-                  "specs": [spec.to_dict() for _, spec in shard]}
-                 for sid, shard in shards]
+        self.plan = None
+        # Per-run state shared by the pre-pass, the merge and the loops.
+        self._slots = [None] * len(cells)
+        self._fingerprints = [spec.fingerprint() for spec in cells]
+        self._progress = progress
+        self._policy = fault_policy
+        self._collect_metrics = collect_metrics
+        # The store opens its writer segment lazily on first put, so a
+        # fully warm run leaves no empty segment behind.
+        self._store = ResultStore.ensure(store)
+        journal = self._journal = (
+            None if checkpoint is None
+            else _resilience.CheckpointJournal(checkpoint))
+        pending = self._prepare(cells, journal.load() if resume else {})
         try:
             if journal is not None:
-                state["journal"] = journal.open()
-            # Lazily opened on first put; a warm run writes nothing.
-            state["store"] = store
-            self.mode = "sharded"
-            for sid, records, error in self.transport.dispatch(tasks):
-                shard = plan.shards[sid]
-                if error is not None:
-                    self._count(_names.CAMPAIGN_SHARDS_STOLEN)
-                    self._steal_shard(state, shard, progress,
-                                      fault_policy, collect_metrics)
-                    continue
-                for (index, spec), record in zip(shard, records):
-                    result = _resilience.result_from_dict(record["cell"])
-                    self._merge_cell(state, index, spec, result, record,
-                                     progress=progress)
+                journal.open()
+            if self.transport is None:
+                self._run_local(pending)
+            else:
+                self._run_sharded(pending)
         finally:
             if journal is not None:
                 journal.close()
-            if store is not None:
-                store.close()
-        return self._finalize(state)
+            if self._store is not None:
+                self._store.close()
+        slots = self._slots
+        campaign.results = [cell for cell in slots if not cell.failure]
+        campaign.quarantine = [cell for cell in slots if cell.failure]
+        campaign.run_metrics = self.metrics.snapshot()
+        return campaign.results

@@ -150,14 +150,12 @@ class TestWifiSurfaces:
 
 class TestTimerSurfaces:
     def test_periodic_next_deadline(self, sim):
-        from repro.sim.timers import PeriodicTimer
-
-        timer = PeriodicTimer(sim, 0.5, lambda: None)
-        assert timer.next_deadline() is None
-        timer.start()
-        assert timer.next_deadline() == pytest.approx(0.5)
-        timer.stop()
-        assert timer.next_deadline() is None
+        train = sim.schedule_periodic(0.5, lambda: None)
+        assert train.time == pytest.approx(0.5)
+        sim.run(until=0.7)
+        assert train.time == pytest.approx(1.0)
+        train.cancel()
+        assert train.canceled
 
     def test_timer_restart_is_start(self, sim):
         from repro.sim.timers import Timer

@@ -1,9 +1,9 @@
 """The codebase itself passes its own lint (tier-1 acceptance gate).
 
-``repro lint`` must report zero non-baselined findings on ``src/``, the
-legacy wrapper scripts must reach the same verdict as the engine rules
-they delegate to, and the only in-tree suppressions must be the two
-documented wall-clock reads in the observed scheduler path.
+``repro lint`` and ``scripts/lint_all.py`` must report zero
+non-baselined findings on ``src/``, and the only in-tree suppressions
+must be the two documented wall-clock reads in the observed scheduler
+path.
 """
 
 import importlib.util
@@ -46,38 +46,17 @@ def test_cli_lint_exit_code_and_output(capsys):
     assert "RL301" in out  # the registry project rule ran
 
 
-def test_trace_guard_wrapper_matches_engine():
-    wrapper = _load_script("check_trace_guards")
-    engine = run_lint(SRC, rules=[RULES["RL001"], RULES["RL002"]],
-                      include_project_rules=False)
-    violations = wrapper.find_violations(SRC)
-    assert [(p.relative_to(SRC).as_posix(), line)
-            for p, line, _ in violations] \
-        == [(f.path, f.line) for f in engine.findings]
-    assert wrapper.main([str(SRC)]) == (1 if engine.findings else 0)
-
-
-def test_registry_wrapper_matches_engine():
-    wrapper = _load_script("check_registries")
-    problems = wrapper.check_registries()
-    engine_findings = RULES["RL301"].check(SRC)
-    assert problems == [f.message for f in engine_findings]
-    assert wrapper.main([]) == (1 if problems else 0)
-
-
 def test_lint_all_runner_clean(capsys):
     runner = _load_script("lint_all")
     assert runner.main([]) == 0
     out = capsys.readouterr().out
     assert "lint clean" in out
-    assert "trace-guard lint" in out
-    assert "registries clean" in out
+    assert "RL301" in out  # the registry project rule ran
 
 
-def test_trace_guard_wrapper_flags_seeded_violations(tmp_path):
-    """The wrapper keeps its legacy behaviour on ad-hoc trees, and the
-    pragma is recognised with flexible whitespace and trailing text."""
-    wrapper = _load_script("check_trace_guards")
+def test_obs_rules_flag_seeded_violations(tmp_path):
+    """RL001/RL002 on an ad-hoc tree: the pragma is recognised with
+    flexible whitespace and trailing text, and a seeded tree fails."""
     bad = tmp_path / "pkg" / "module.py"
     bad.parent.mkdir()
     bad.write_text(
@@ -86,8 +65,10 @@ def test_trace_guard_wrapper_flags_seeded_violations(tmp_path):
         "    sim.metrics.inc('y_total')  #obs:caller-guarded (see caller)\n"
         "    x = 1  # obs: caller-guarded\n",
         encoding="utf-8")
-    violations = wrapper.find_violations(tmp_path)
+    result = run_lint(tmp_path, rules=[RULES["RL001"], RULES["RL002"]],
+                      include_project_rules=False)
     # Line 2 is unguarded; line 3's flexible pragma counts; line 4's
     # pragma is unused and flagged so suppressions cannot rot.
-    assert [(line, "record" in text or "x = 1" in text)
-            for _, line, text in violations] == [(2, True), (4, True)]
+    assert [(f.line, f.rule_id) for f in result.findings] \
+        == [(2, "RL001"), (4, "RL002")]
+    assert result.exit_code == 1

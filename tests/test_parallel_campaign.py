@@ -1,5 +1,6 @@
-"""Tests for the parallel campaign runner.
+"""Tests for worker-pool and serial campaign runs.
 
+Both modes run through :class:`~repro.testbed.fabric.FabricRunner`.
 The load-bearing property is *bit-identical determinism*: a sharded
 multi-process run must produce exactly the results of the serial path,
 cell for cell, byte for byte, for any worker count.
@@ -9,8 +10,12 @@ import json
 
 import pytest
 
+from repro.testbed import campaign as campaign_module
+from repro.testbed import fabric
 from repro.testbed.campaign import Campaign, CellResult, run_cell
-from repro.testbed.parallel import ParallelCampaignRunner, _run_shard
+from repro.testbed.fabric import (
+    MultiprocessTransport, pool_context, run_shard_payload,
+)
 
 
 def small_grid(**overrides):
@@ -24,6 +29,16 @@ def small_grid(**overrides):
 def serialized(campaign):
     return json.dumps([result.to_dict() for result in campaign.results],
                       sort_keys=True)
+
+
+def counters(campaign):
+    return {metric["name"]: metric["value"]
+            for metric in campaign.run_metrics["metrics"]}
+
+
+def shard_task(cells, collect_metrics=False):
+    return {"shard": 0, "collect_metrics": collect_metrics,
+            "policy": None, "specs": [spec.to_dict() for spec in cells]}
 
 
 class TestDeterminism:
@@ -53,26 +68,11 @@ class TestDeterminism:
 
 
 class TestSharding:
-    def test_shards_cover_grid_in_order(self):
-        campaign = small_grid()
-        runner = ParallelCampaignRunner(campaign, workers=2)
-        cells = list(campaign.cells())
-        shards = runner.shards()
-        flattened = [cell for shard in shards for cell in shard]
-        assert flattened == cells
-        assert all(shard for shard in shards)
-
-    def test_explicit_chunk_size(self):
-        campaign = small_grid()
-        runner = ParallelCampaignRunner(campaign, workers=2, chunk_size=3)
-        assert [len(shard) for shard in runner.shards()] == [3, 3, 2]
-
     def test_empty_grid(self):
         campaign = small_grid(phones=())
-        runner = ParallelCampaignRunner(campaign, workers=4)
-        assert runner.shards() == []
-        assert runner.run() == []
+        assert campaign.run(workers=4) == []
         assert campaign.results == []
+        assert counters(campaign).get("campaign.shards_planned", 0) == 0
 
     def test_single_cell(self):
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
@@ -94,8 +94,7 @@ class TestSharding:
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
         cells = list(campaign.cells())
-        records = _run_shard(
-            (False, None, [spec.to_dict() for spec in cells]))
+        records = run_shard_payload(shard_task(cells))
         assert len(records) == 1
         assert records[0]["attempts"] == 1
         assert records[0]["timeouts"] == 0
@@ -108,8 +107,7 @@ class TestSharding:
         campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
                               tools=("ping",))
         cells = list(campaign.cells())
-        records = _run_shard(
-            (True, None, [spec.to_dict() for spec in cells]))
+        records = run_shard_payload(shard_task(cells, collect_metrics=True))
         restored = CellResult.from_dict(records[0]["cell"])
         assert restored.metrics is not None
         names = {entry["name"] for entry in restored.metrics["metrics"]}
@@ -118,20 +116,60 @@ class TestSharding:
 
 class TestFallbacksAndProgress:
     def test_unavailable_start_method_falls_back_to_serial(self):
-        campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
-                              tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=4,
-                                        start_method="not-a-start-method")
-        results = runner.run()
-        assert runner.mode == "serial"
-        assert len(results) == 1
+        reference = small_grid(tools=("ping",))
+        reference.run()
+        campaign = small_grid(tools=("ping",))
+        assert pool_context("not-a-start-method") is None
+        transport = MultiprocessTransport(workers=4,
+                                          start_method="not-a-start-method")
+        campaign.run(workers=4, transport=transport)
+        assert serialized(campaign) == serialized(reference)
+        stats = counters(campaign)
+        assert stats["campaign.shards_planned"] >= 1
+        assert stats.get("campaign.shards_stolen", 0) == 0
 
-    def test_workers_one_runs_in_process(self):
-        campaign = small_grid(phones=("nexus5",), rtts=(0.02,),
-                              tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=1)
-        runner.run()
-        assert runner.mode == "serial"
+    def test_workers_one_runs_in_process(self, tmp_path):
+        campaign = small_grid(tools=("ping",))
+        checkpoint = tmp_path / "sweep.jsonl"
+        seen = []
+
+        def journaled():
+            return len(checkpoint.read_text(encoding="utf-8").splitlines())
+
+        campaign.run(workers=1, checkpoint=checkpoint,
+                     progress=lambda spec: seen.append(
+                         (spec.key(), journaled())))
+        # Every cell ran in-process, in grid order, and progress fired
+        # once each cell's result was installed (and journaled).
+        assert seen == [(spec.key(), done) for done, spec
+                        in enumerate(campaign.cells(), start=1)]
+        assert counters(campaign).get("campaign.shards_planned", 0) == 0
+
+    def test_serial_raising_cell_fails_the_run_once(self, monkeypatch):
+        calls = []
+
+        def broken(spec, collect_metrics=False):
+            calls.append(spec.seed)
+            raise RuntimeError("dead cell")
+
+        monkeypatch.setattr(campaign_module, "run_cell", broken)
+        campaign = small_grid(tools=("ping",))
+        with pytest.raises(RuntimeError, match="dead cell"):
+            campaign.run(workers=1)
+        # No transport to fail and steal from: the cell ran exactly once.
+        assert calls == [next(campaign.cells()).seed]
+
+    def test_workers_plan_four_shards_per_worker(self, monkeypatch):
+        planned = []
+        real = fabric.plan_shards
+
+        def recording(cells, shard_count, **kwargs):
+            planned.append(shard_count)
+            return real(cells, shard_count, **kwargs)
+
+        monkeypatch.setattr(fabric, "plan_shards", recording)
+        small_grid().run(workers=2)
+        assert planned == [8]
 
     def test_progress_called_once_per_cell_parallel(self):
         campaign = small_grid(tools=("ping",))
@@ -176,9 +214,8 @@ class TestCheckpointResume:
 
     def test_resume_without_checkpoint_raises(self):
         campaign = small_grid(tools=("ping",))
-        runner = ParallelCampaignRunner(campaign, workers=2)
         with pytest.raises(ValueError, match="checkpoint"):
-            runner.run(resume=True)
+            campaign.run(workers=2, resume=True)
 
 
 class TestProgressExactlyOnce:

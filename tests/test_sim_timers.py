@@ -1,8 +1,8 @@
-"""Unit tests for one-shot and periodic timers."""
+"""Unit tests for the restartable one-shot timer."""
 
 import pytest
 
-from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.timers import Timer
 
 
 class TestTimer:
@@ -59,59 +59,3 @@ class TestTimer:
         sim.run()
         assert fired == [pytest.approx(0.1), pytest.approx(0.2),
                          pytest.approx(0.3)]
-
-
-class TestPeriodicTimer:
-    def test_ticks_at_fixed_period(self, sim):
-        ticks = []
-        timer = PeriodicTimer(sim, 0.5, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run(until=2.4)
-        assert ticks == [pytest.approx(t) for t in (0.5, 1.0, 1.5, 2.0)]
-
-    def test_no_drift_from_epoch(self, sim):
-        # 1000 ticks of 10 ms must land exactly on multiples of 0.01.
-        ticks = []
-        timer = PeriodicTimer(sim, 0.01, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.run(until=10.0)
-        assert len(ticks) == 1000
-        assert ticks[-1] == pytest.approx(10.0, abs=1e-9)
-
-    def test_stop_from_callback_sticks(self, sim):
-        ticks = []
-
-        def on_tick():
-            ticks.append(sim.now)
-            if len(ticks) == 2:
-                timer.stop()
-
-        timer = PeriodicTimer(sim, 0.1, on_tick)
-        timer.start()
-        sim.run(until=5.0)
-        assert len(ticks) == 2
-
-    def test_phase_delays_first_tick(self, sim):
-        ticks = []
-        timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
-        timer.start(phase=0.25)
-        sim.run(until=2.5)
-        assert ticks == [pytest.approx(1.25), pytest.approx(2.25)]
-
-    def test_invalid_period_rejected(self, sim):
-        with pytest.raises(ValueError):
-            PeriodicTimer(sim, 0.0, lambda: None)
-
-    def test_tick_counter(self, sim):
-        timer = PeriodicTimer(sim, 0.2, lambda: None)
-        timer.start()
-        sim.run(until=1.1)
-        assert timer.ticks == 5
-
-    def test_restart_resets_epoch(self, sim):
-        ticks = []
-        timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
-        timer.start()
-        sim.schedule(0.5, timer.start)  # restart half way through
-        sim.run(until=2.0)
-        assert ticks == [pytest.approx(1.5)]

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.obs import enable_observability
-from repro.sim import PeriodicTimer, SimTimeError, Simulator
+from repro.sim import SimTimeError, Simulator
 from repro.testbed.campaign import Campaign
 
 
@@ -122,28 +122,26 @@ class TestAnchoring:
         assert times == pytest.approx([1.0, 2.0, 3.0])
 
 
-class TestPeriodicTimerWrapper:
+class TestTrainStopRestart:
     def test_stop_then_restart_reanchors(self):
         sim = Simulator(seed=0)
         times = []
-        timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now))
-        timer.start()
+        train = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
         sim.run(until=2.5)
-        timer.stop()
-        assert not timer.running
-        assert timer.ticks == 2  # count survives the stop
+        train.cancel()
+        assert train.canceled
+        assert train.ticks == 2  # count survives the stop
         sim.run(until=4.7)
-        timer.start()
-        assert timer.next_deadline() == pytest.approx(5.7)
+        train = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
+        assert train.time == pytest.approx(5.7)
         sim.run(until=7.0)
         assert times == pytest.approx([1.0, 2.0, 5.7, 6.7])
 
     def test_stop_from_callback_sticks(self):
         sim = Simulator(seed=0)
         fired = []
-        timer = PeriodicTimer(sim, 0.5, lambda: (fired.append(sim.now),
-                                                 timer.stop()))
-        timer.start()
+        train = sim.schedule_periodic(
+            0.5, lambda: (fired.append(sim.now), train.cancel()))
         sim.run()
         assert fired == pytest.approx([0.5])
         assert sim.pending() == 0

@@ -1,44 +1,44 @@
-"""Tier-1 wiring for ``scripts/check_trace_guards.py``.
+"""Tier-1 wiring for the observability-guard lint rules.
 
 The lint enforces the guard discipline documented in
 ``docs/OBSERVABILITY.md``: every observability call site in ``src/``
 sits behind an ``.enabled`` check (or carries the caller-guarded
-pragma), so disabled observability costs one attribute check.  The
-script is a thin wrapper over ``repro.lint`` rules RL001/RL002
-(docs/STATIC_ANALYSIS.md); these tests pin the wrapper's legacy
-behaviour, including flexible pragma spelling and unused-pragma
-detection.
+pragma), so disabled observability costs one attribute check.  Rules
+RL001 (unguarded call) and RL002 (stale pragma) run on the
+``repro.lint`` engine (docs/STATIC_ANALYSIS.md); these tests pin them
+on the source tree and on seeded trees, including flexible pragma
+spelling and unused-pragma detection.
 """
 
-import importlib.util
 import pathlib
 
+from repro.cli import main as cli_main
+from repro.lint import RULES, run_lint
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCRIPT = REPO_ROOT / "scripts" / "check_trace_guards.py"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("check_trace_guards",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def find_violations(root):
+    """``[(line, rule_id, snippet), ...]`` of RL001/RL002 findings."""
+    result = run_lint(root, rules=[RULES["RL001"], RULES["RL002"]],
+                      include_project_rules=False)
+    return [(finding.line, finding.rule_id, finding.snippet)
+            for finding in result.findings]
 
 
 def test_src_tree_has_no_unguarded_call_sites():
-    lint = _load()
-    violations = lint.find_violations(REPO_ROOT / "src")
-    formatted = "\n".join(f"{path}:{lineno}: {line}"
-                          for path, lineno, line in violations)
+    violations = find_violations(REPO_ROOT / "src")
+    formatted = "\n".join(f"{line}: {rule} {text}"
+                          for line, rule, text in violations)
     assert not violations, f"unguarded observability call sites:\n{formatted}"
 
 
-def test_main_exit_code_clean_tree():
-    lint = _load()
-    assert lint.main([str(REPO_ROOT / "src")]) == 0
+def test_main_exit_code_clean_tree(capsys):
+    assert cli_main(["lint", str(REPO_ROOT / "src")]) == 0
+    assert "lint clean" in capsys.readouterr().out
 
 
-def test_lint_catches_unguarded_call(tmp_path):
+def test_lint_catches_unguarded_call(tmp_path, capsys):
     bad = tmp_path / "pkg" / "module.py"
     bad.parent.mkdir()
     bad.write_text(
@@ -46,10 +46,10 @@ def test_lint_catches_unguarded_call(tmp_path):
         "    sim.trace.record(sim.now, 'x', 'unguarded')\n"
         "    sim.metrics.inc('y_total')\n",
         encoding="utf-8")
-    lint = _load()
-    violations = lint.find_violations(tmp_path)
-    assert len(violations) == 2
-    assert lint.main([str(tmp_path)]) == 1
+    assert [(line, rule) for line, rule, _ in find_violations(tmp_path)] \
+        == [(2, "RL001"), (3, "RL001")]
+    assert cli_main(["lint", str(tmp_path)]) == 1
+    assert "RL001" in capsys.readouterr().out
 
 
 def test_lint_accepts_guard_and_pragma(tmp_path):
@@ -60,8 +60,7 @@ def test_lint_accepts_guard_and_pragma(tmp_path):
         "        sim.trace.record(sim.now, 'x', 'guarded')\n"
         "    sim.metrics.inc('y_total')  # obs: caller-guarded\n",
         encoding="utf-8")
-    lint = _load()
-    assert lint.find_violations(tmp_path) == []
+    assert find_violations(tmp_path) == []
 
 
 def test_pragma_recognised_with_flexible_spelling(tmp_path):
@@ -74,21 +73,19 @@ def test_pragma_recognised_with_flexible_spelling(tmp_path):
         "    sim.metrics.inc('c_total')  # obs: caller-guarded — "
         "guard lives in run()\n",
         encoding="utf-8")
-    lint = _load()
-    assert lint.find_violations(tmp_path) == []
+    assert find_violations(tmp_path) == []
 
 
-def test_unused_pragma_is_flagged(tmp_path):
+def test_unused_pragma_is_flagged(tmp_path, capsys):
     """A caller-guarded pragma on a line with no observability call is
-    rot (RL002) and fails the wrapper like an unguarded call would."""
+    rot (RL002) and fails the lint like an unguarded call would."""
     stale = tmp_path / "module.py"
     stale.write_text(
         "def f(sim):\n"
         "    x = 1  # obs: caller-guarded\n"
         "    return x\n",
         encoding="utf-8")
-    lint = _load()
-    violations = lint.find_violations(tmp_path)
-    assert [(line, text) for _, line, text in violations] \
-        == [(2, "x = 1  # obs: caller-guarded")]
-    assert lint.main([str(tmp_path)]) == 1
+    assert find_violations(tmp_path) \
+        == [(2, "RL002", "x = 1  # obs: caller-guarded")]
+    assert cli_main(["lint", str(tmp_path)]) == 1
+    assert "RL002" in capsys.readouterr().out
