@@ -15,6 +15,10 @@ def pytest_addoption(parser):
         "--record-bench", action="store_true",
         help="write the perf_smoke rates to the tracked "
              "BENCH_simulator.json instead of a temp file")
+    parser.addoption(
+        "--update-golden", action="store_true",
+        help="rewrite tests/data/golden_cells.json from the current "
+             "model (a deliberate output change; note it in CHANGES.md)")
 
 
 @pytest.fixture
