@@ -25,6 +25,7 @@ class CellularPhone:
         self.rng = rng if rng is not None else sim.rng.stream(
             f"cellphone:{self.name}")
         self.runtime = runtime
+        self._runtime_costs = {}
         self.rrc = rrc
 
         kernel_tx, kernel_rx = profile.kernel_costs()
@@ -46,7 +47,11 @@ class CellularPhone:
     # -- user space (same contract as the WiFi phone) --------------------
 
     def app_cost(self):
-        return self.profile.runtime_cost(self.runtime).draw(self.rng)
+        cost = self._runtime_costs.get(self.runtime)
+        if cost is None:
+            cost = self.profile.runtime_cost(self.runtime)
+            self._runtime_costs[self.runtime] = cost
+        return cost.draw(self.rng)
 
     def user_send(self, fn):
         t_user = self.sim.now

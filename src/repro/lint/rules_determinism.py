@@ -220,35 +220,55 @@ class SchedulerInternalsRule(_SimScopedRule):
     caller reached into ``sim._heap`` — and stays possible only while
     that holds for the wheel fields too.  Code that needs queue state
     has public API: ``pending()``, ``peek()``, ``wheel_stats()``.
+
+    The insertion helpers (``._insert_entry`` / ``._insert_far``) and
+    the global ``_SEQ`` tie-break counter are private for the same
+    reason: an entry inserted or a seq drawn outside the core can break
+    the deterministic ``(time, seq)`` order.  Lazily re-armed deadlines
+    use ``reserve_seq()`` and ``rearm()`` instead.
     """
 
     id = "RL105"
     category = "determinism"
     severity = "error"
     description = ("direct access to scheduler queue internals (._heap / "
-                   "._wheel_* / ._canceled_in_heap) outside the scheduler "
-                   "core — use the public Simulator API (schedule/cancel/"
-                   "pending()/peek()/wheel_stats())")
+                   "._wheel_* / ._canceled_in_heap / ._insert_entry / "
+                   "._insert_far / _SEQ) outside the scheduler core — use "
+                   "the public Simulator API (schedule/cancel/pending()/"
+                   "peek()/wheel_stats()/reserve_seq()/rearm())")
     # The scheduler core: the wheel lives in scheduler.py; Event.cancel
-    # (events.py) maintains the lazy-cancellation counter.
+    # (events.py) maintains the lazy-cancellation counter and events.py
+    # owns the seq counter.
     exclude = ("sim/scheduler.py", "sim/events.py")
 
-    _EXACT = frozenset({"_heap", "_canceled_in_heap"})
+    _EXACT = frozenset({"_heap", "_canceled_in_heap", "_insert_entry",
+                        "_insert_far", "_SEQ"})
     _PREFIX = "_wheel_"
+    _SEQ_NAME = "_SEQ"
 
     def visit(self, tree, source, path):
         findings = []
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
+                attr = node.attr
+                if not (attr in self._EXACT
+                        or attr.startswith(self._PREFIX)):
+                    continue
+                name = f".{attr}"
+            elif isinstance(node, ast.Name) and node.id == self._SEQ_NAME:
+                name = self._SEQ_NAME
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == self._SEQ_NAME for alias in node.names):
+                name = self._SEQ_NAME
+            else:
                 continue
-            attr = node.attr
-            if attr in self._EXACT or attr.startswith(self._PREFIX):
-                findings.append(self.finding(
-                    path, node.lineno,
-                    f"direct access to scheduler internal .{attr}: the "
-                    "event-queue layout (timing wheel) is private to "
-                    "repro.sim.scheduler — read queue state through "
-                    "pending()/peek()/wheel_stats() instead", source))
+            findings.append(self.finding(
+                path, node.lineno,
+                f"direct access to scheduler internal {name}: the "
+                "event-queue layout (timing wheel) and its seq counter "
+                "are private to repro.sim.scheduler — use pending()/"
+                "peek()/wheel_stats() to read queue state and "
+                "reserve_seq()/rearm() for lazy deadlines", source))
         return findings
 
 

@@ -7,6 +7,8 @@ a time.  Taps (callbacks) observe frames in both directions — this is how
 ``tcpdump``-style wired captures are implemented.
 """
 
+import math
+
 ETHERNET_OVERHEAD = 38  # preamble + SFD + header + FCS + minimum IFG, bytes
 
 
@@ -46,7 +48,8 @@ class EthernetInterface:
         self.link = None
         self.egress = queue if queue is not None else DropTailQueue()
         self.name = name
-        self._transmitting = False
+        self._busy_until = 0.0  # the transmitter is free from this time on
+        self._wake = None  # pending wake while frames wait behind it
         self._taps = []
         self.frames_sent = 0
         self.frames_received = 0
@@ -63,28 +66,47 @@ class EthernetInterface:
         self._taps.append(callback)
 
     def send(self, frame):
-        """Queue a frame for transmission; returns ``False`` if tail-dropped."""
+        """Queue a frame for transmission; returns ``False`` if tail-dropped.
+
+        An idle transmitter clocks the frame out at once and only records
+        when it frees up; a wake event is scheduled only while frames
+        wait behind a busy transmitter, so an uncontended port fires no
+        completion events.
+        """
         if self.link is None:
             raise RuntimeError(f"interface {self.name or self.mac} has no link")
         if not self.egress.enqueue(frame):
             return False
-        self._pump()
+        if self._wake is None and self._busy_until != math.inf:
+            if self._sim.now >= self._busy_until:
+                self._transmit()
+            else:
+                self._wake = self._sim.at(self._busy_until, self._on_wake,
+                                          label=f"eth-tx:{self.name}")
         return True
 
-    def _pump(self):
-        if self._transmitting or self.egress.is_empty:
-            return
+    def _transmit(self):
+        """Clock the head-of-line frame onto the link.
+
+        Schedules the wake for the next frame when any is waiting.
+        """
         frame = self.egress.dequeue()
-        self._transmitting = True
+        # Busy while the taps and the link see the frame: a frame sent
+        # from inside them waits behind this one.
+        self._busy_until = math.inf
         for tap in self._taps:
             tap(frame, "tx")
         tx_time = self.link.transmit(self, frame)
         self.frames_sent += 1
-        self._sim.schedule(tx_time, self._transmit_done, label=f"eth-tx:{self.name}")
+        self._busy_until = self._sim.now + tx_time
+        if self._wake is None and not self.egress.is_empty:
+            self._wake = self._sim.at(self._busy_until, self._on_wake,
+                                      label=f"eth-tx:{self.name}")
 
-    def _transmit_done(self):
-        self._transmitting = False
-        self._pump()
+    def _on_wake(self):
+        """The transmitter freed up with frames waiting: send the next."""
+        self._wake = None
+        self._transmit()
 
     def receive_from_link(self, frame):
         """Link delivery entry point."""

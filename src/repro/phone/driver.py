@@ -11,9 +11,11 @@ This mirrors the call structure the paper traced in Figures 4 and 5:
   and runs ``dhdsdio_readframes``; frames are queued for the **rxframe
   thread** which calls ``netif_rx_ni``.  ``dvrecv`` is the time from
   ``dhdsdio_isr`` to ``dhd_rxf_enqueue``.
-* A watchdog fires every ``dhd_watchdog_ms``; ``idlecount`` ticks up
+* A watchdog ticks every ``dhd_watchdog_ms``; ``idlecount`` counts up
   while the bus sees no activity, and at ``idletime`` the bus demotes
   (sleeps).  Waking it back up costs the promotion delay ``Tprom``.
+  The model computes that sleep tick in closed form and fires one
+  deadline event there instead of every tick (see :class:`SdioBus`).
 
 The driver records every ``dvsend``/``dvrecv`` sample — the simulated
 equivalent of the paper's timestamping kernel patch — so Table 3 is a
@@ -53,7 +55,25 @@ class DriverSample:
 
 
 class SdioBus:
-    """The host-to-chipset bus with the idlecount/idletime sleep policy."""
+    """The host-to-chipset bus with the idlecount/idletime sleep policy.
+
+    The dhd watchdog ticks on a fixed grid, ``anchor + k * period`` for
+    ``k >= 1`` with the bus's creation time as the anchor.  The first
+    tick after bus activity resets ``idlecount``; each later tick adds
+    one, and the tick that brings it to ``idletime`` demotes the bus.
+    The sleep instant is therefore known in closed form (PAPER §3.2):
+    grid tick ``k* = first_tick_after(last_activity) + idletime``.
+
+    So the bus keeps one deadline event at ``k*`` instead of firing every
+    tick.  :meth:`mark_activity` only records the time; when the deadline
+    fires it re-arms itself if activity has since moved ``k*``, and
+    otherwise puts the bus to sleep.  No event is pending while the bus
+    sleeps or while sleep is disabled; :meth:`wake_delay` and
+    ``set_sleep_enabled(True)`` arm it again.  An activity at exactly a
+    grid instant counts as after that tick, which is the polling
+    watchdog's order whenever the activity was scheduled within the
+    preceding period.
+    """
 
     def __init__(self, sim, chipset, rng, sleep_enabled=True, name="sdio"):
         self.sim = sim
@@ -65,32 +85,76 @@ class SdioBus:
         #: Optional ``callback(old_state, new_state)`` observer (used by
         #: the energy meter).
         self.on_transition = None
-        self.idlecount = 0
-        self._activity_since_tick = True
         self.sleep_count = 0
         self.wake_count = 0
         self._slept_at = None
-        # The dhd watchdog is a scheduler-native periodic train — the
-        # densest timer in the model (10 ms, per bus), so it rides the
-        # scheduler's batched fast path.
-        self._watchdog = sim.schedule_periodic(
-            chipset.watchdog_period, self._watchdog_tick,
-            label=f"watchdog:{name}",
-        )
+        self._anchor = sim.now
+        self._period = chipset.watchdog_period
+        # A tick that finds activity resets idlecount to 0 and does not
+        # sleep, so even idletime 0 needs one quiet tick.
+        self._idle_ticks = max(chipset.idletime, 1)
+        self._last_activity = sim.now
+        self._label = f"watchdog:{name}"
+        self._deadline = None  # the pending deadline event, if any
+        self._deadline_index = 0
+        self._stopped = False
+        if sleep_enabled:
+            self._arm()
 
     @property
     def asleep(self):
         return self.state == BUS_ASLEEP
 
+    @property
+    def idlecount(self):
+        """Watchdog ticks since the first tick after the last activity."""
+        consumed = self._first_tick_after(self._last_activity)
+        fired = self._first_tick_after(self.sim.now) - 1
+        return max(fired - consumed, 0)
+
+    def _first_tick_after(self, t):
+        """Index of the first grid tick strictly after time ``t``."""
+        anchor = self._anchor
+        period = self._period
+        k = max(int((t - anchor) / period) + 1, 1)
+        # The division can land one index off; settle on the exact grid
+        # expression the ticks fire at.
+        while anchor + k * period <= t:
+            k += 1
+        while k > 1 and anchor + (k - 1) * period > t:
+            k -= 1
+        return k
+
+    def _sleep_index(self):
+        return self._first_tick_after(self._last_activity) + self._idle_ticks
+
+    def _arm(self, not_before=None):
+        index = self._sleep_index()
+        if not_before is not None:
+            index = max(index, self._first_tick_after(not_before))
+        self._deadline_index = index
+        self._deadline = self.sim.at(self._anchor + index * self._period,
+                                     self._on_deadline, label=self._label)
+
+    def _disarm(self):
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
     def mark_activity(self):
-        """Bus traffic observed: reset the idle bookkeeping."""
-        self._activity_since_tick = True
-        self.idlecount = 0
+        """Bus traffic observed: restart the idle count."""
+        self._last_activity = self.sim.now
 
     def set_sleep_enabled(self, enabled):
         """Toggle the sleep feature (the paper's driver patch for Table 3)."""
         self.sleep_enabled = enabled
-        if not enabled and self.asleep:
+        if enabled:
+            if (self._deadline is None and not self._stopped
+                    and self.state == BUS_AWAKE):
+                self._arm(not_before=self.sim.now)
+            return
+        self._disarm()
+        if self.asleep:
             # An always-on bus comes up for free at the next access; model
             # the toggle as an immediate wake.
             self._transition(BUS_AWAKE)
@@ -110,13 +174,16 @@ class SdioBus:
 
         Transitions the bus to AWAKE and counts activity.
         """
-        self.mark_activity()
+        sim = self.sim
+        self._last_activity = sim.now
         if self.state == BUS_AWAKE:
             return 0.0
         self._transition(BUS_AWAKE)
         self.wake_count += 1
+        if (self.sleep_enabled and self._deadline is None
+                and not self._stopped):
+            self._arm()
         delay = self.chipset.wake_delay.draw(self.rng)
-        sim = self.sim
         if sim.metrics.enabled:
             sim.metrics.inc(SDIO_WAKES_TOTAL, labels={"bus": self.name})
         if sim.spans.enabled:
@@ -129,30 +196,33 @@ class SdioBus:
                              bus=self.name)
         return delay
 
-    def _watchdog_tick(self):
-        if self._activity_since_tick:
-            self._activity_since_tick = False
-            self.idlecount = 0
+    def _on_deadline(self):
+        event = self._deadline
+        self._deadline = None
+        index = self._sleep_index()
+        if index > self._deadline_index:
+            # Activity since arming moved the sleep tick: follow it.
+            self._deadline_index = index
+            self._deadline = event
+            self.sim.rearm(event, self._anchor + index * self._period,
+                           self.sim.reserve_seq())
             return
-        self.idlecount += 1
-        if (
-            self.idlecount >= self.chipset.idletime
-            and self.sleep_enabled
-            and self.state == BUS_AWAKE
-        ):
-            self._transition(BUS_ASLEEP)
-            self.sleep_count += 1
-            self._slept_at = self.sim.now
-            if self.sim.metrics.enabled:
-                self.sim.metrics.inc(SDIO_SLEEPS_TOTAL,
-                                     labels={"bus": self.name})
-            if self.sim.trace.enabled:
-                self.sim.trace.record(self.sim.now, "sdio", "bus sleep",
-                                      bus=self.name)
+        if self.state != BUS_AWAKE:
+            return
+        self._transition(BUS_ASLEEP)
+        self.sleep_count += 1
+        self._slept_at = self.sim.now
+        if self.sim.metrics.enabled:
+            self.sim.metrics.inc(SDIO_SLEEPS_TOTAL,
+                                 labels={"bus": self.name})
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, "sdio", "bus sleep",
+                                  bus=self.name)
 
     def stop(self):
         """Stop the watchdog (simulation teardown)."""
-        self._watchdog.cancel()
+        self._stopped = True
+        self._disarm()
 
     def __repr__(self):
         return f"<SdioBus {self.name} {self.state} idlecount={self.idlecount}>"

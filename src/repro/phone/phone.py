@@ -37,6 +37,7 @@ class Phone:
         self.name = name or profile.key
         self.rng = rng if rng is not None else sim.rng.stream(f"phone:{self.name}")
         self.runtime = runtime
+        self._runtime_costs = {}  # runtime -> scaled DelayDistribution
 
         psm = PsmConfig(
             enabled=psm_enabled,
@@ -78,7 +79,12 @@ class Phone:
 
     def app_cost(self):
         """One user-space runtime delay draw (send or receive side)."""
-        return self.profile.runtime_cost(self.runtime).draw(self.rng)
+        cost = self._runtime_costs.get(self.runtime)
+        if cost is None:
+            # Scaled once per runtime, not once per app send or receive.
+            cost = self.profile.runtime_cost(self.runtime)
+            self._runtime_costs[self.runtime] = cost
+        return cost.draw(self.rng)
 
     def user_send(self, fn):
         """App-level send: returns ``tou`` and runs ``fn`` after the

@@ -245,6 +245,32 @@ class Simulator:
         self._insert_entry(event)
         return event
 
+    def reserve_seq(self):
+        """Draw the tie-break ``seq`` a new event would draw right now.
+
+        For deadlines armed lazily (:class:`~repro.sim.timers.Timer`):
+        the seq is taken where a fresh :class:`Event` would take it, and
+        handed to :meth:`rearm` when the deadline is finally inserted,
+        so same-time ordering is that of an eagerly scheduled event.
+        """
+        return next(_SEQ)
+
+    def rearm(self, event, time, seq):
+        """Re-insert a fired one-shot ``event`` at ``(time, seq)``.
+
+        Called from the event's own callback, typically with a ``seq``
+        from :meth:`reserve_seq`; ``time`` must not be in the past.
+        """
+        if event.in_heap or event.canceled:
+            raise SchedulerError("rearm() needs a fired, live event")
+        if time < self._now:
+            raise SimTimeError(
+                f"cannot rearm at {time!r}; clock is already at {self._now!r}"
+            )
+        event.time = time
+        event.seq = seq
+        self._insert_entry(event)
+
     def _insert_entry(self, event):
         """Place an event (``time``/``seq`` already set) into its tier."""
         event.in_heap = True

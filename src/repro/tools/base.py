@@ -6,6 +6,39 @@ multi-layer overhead analysis works identically across tools.
 """
 
 
+def run_until_complete(sim, start, deadline=None, name="tool"):
+    """Drive ``sim`` until the measurement ``start`` launches completes.
+
+    ``start(on_complete)`` begins an asynchronous measurement that calls
+    ``on_complete(result)`` once.  That call stops the simulator, so the
+    measurement runs through the fused :meth:`Simulator.run` loop and
+    returns with the clock at the completing event.  Raises
+    ``RuntimeError`` when nothing is left to fire (stalled) or when the
+    measurement is still running after the first event past
+    ``deadline``.  Returns the completion result.
+    """
+    done = []
+
+    def complete(result):
+        done.append(result)
+        sim.stop()
+
+    start(complete)
+    while not done:
+        if deadline is not None and sim.now > deadline:
+            raise RuntimeError(f"{name} did not finish by {deadline}s")
+        following = sim.peek()
+        if following is None:
+            raise RuntimeError(f"{name} stalled: event heap empty")
+        if deadline is None or following <= deadline:
+            sim.run(until=deadline)
+        else:
+            # The deadline is checked before each event, so the first
+            # event past it still fires and may complete the run.
+            sim.step()
+    return done[0]
+
+
 class RttSample:
     """One user-level RTT measurement."""
 
@@ -59,14 +92,11 @@ class MeasurementTool:
         """Start and drive the simulator until the tool completes.
 
         Convenience for experiments and benchmarks; returns the samples.
+        See :func:`run_until_complete` for the stall and deadline errors.
         """
-        done = []
-        self.start(count, on_complete=lambda samples: done.append(samples))
-        while not done:
-            if deadline is not None and self.sim.now > deadline:
-                raise RuntimeError(f"{self.name} did not finish by {deadline}s")
-            if not self.sim.step():
-                raise RuntimeError(f"{self.name} stalled: event heap empty")
+        run_until_complete(
+            self.sim, lambda done: self.start(count, on_complete=done),
+            deadline=deadline, name=self.name)
         return self.samples
 
     def _begin(self, count):

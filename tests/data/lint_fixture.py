@@ -51,3 +51,11 @@ def snoop(store_path, segment_dir):
     raw = open(store_path / "index.jsonl")
     head = segment_dir.read_text()
     return raw, head
+
+
+def reach_in(sim, event):
+    from repro.sim.events import _SEQ
+
+    event.seq = next(_SEQ)
+    sim._insert_entry(event)
+    sim._insert_far((event.time, event.seq, event), 0)

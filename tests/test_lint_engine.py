@@ -42,6 +42,10 @@ FIXTURE_EXPECTED = [
     (47, "RL105"),  # sim._wheel_cursor access outside the scheduler core
     (51, "RL107"),  # open() on a store path outside the home modules
     (52, "RL107"),  # .read_text() on a segment path
+    (57, "RL105"),  # importing the scheduler's _SEQ counter
+    (59, "RL105"),  # drawing a seq from _SEQ outside the core
+    (60, "RL105"),  # sim._insert_entry outside the scheduler core
+    (61, "RL105"),  # sim._insert_far outside the scheduler core
 ]
 
 

@@ -146,3 +146,37 @@ class TestPhonePipeline:
             phone.ip_addr, 9, payload_size=4)  # unbound port: received+dropped
         testbed.run(0.5)
         assert phone.stack.packets_received == before + 1
+
+
+class TestAppCostCache:
+    """``app_cost`` scales each runtime's distribution once per phone."""
+
+    @staticmethod
+    def _draws(phone, cached):
+        draws = []
+        for index in range(60):
+            phone.runtime = "dalvik" if index % 3 == 0 else "native"
+            if cached:
+                draws.append(phone.app_cost())
+            else:
+                draws.append(phone.profile.runtime_cost(phone.runtime)
+                             .draw(phone.rng))
+        return draws
+
+    @pytest.mark.parametrize("env", ["wifi", "cellular-lte"])
+    def test_cached_draws_equal_uncached(self, env):
+        from repro.testbed.environment import build_environment
+
+        sequences = []
+        for cached in (True, False):
+            phone = build_environment(env, seed=4).attach_phone("nexus4")
+            sequences.append(self._draws(phone, cached))
+        assert sequences[0] == sequences[1]
+        assert len(set(sequences[0])) > 1
+
+    def test_one_distribution_per_runtime(self, bed):
+        _testbed, phone = bed
+        phone.app_cost()
+        first = phone._runtime_costs["native"]
+        phone.app_cost()
+        assert phone._runtime_costs["native"] is first
