@@ -11,10 +11,10 @@ event-driven simulator.  The design goals are:
   :class:`~repro.sim.trace.TraceRecorder` can capture every interesting
   transition for tests and debugging.
 * **Callback style** — components schedule plain callables.  Periodic
-  work (driver watchdogs, access-point beacons) uses
+  work (access-point beacons, probe loops) uses
   :meth:`~repro.sim.scheduler.Simulator.schedule_periodic` trains
   (batched on the fast path); :class:`~repro.sim.timers.Timer` covers
-  the restartable idle timeouts.
+  the restartable idle timeouts, re-armed lazily.
 """
 
 from repro.sim.errors import SchedulerError, SimTimeError, SimulationError

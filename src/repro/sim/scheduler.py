@@ -2,10 +2,12 @@
 
 The pending-event store is a **hierarchical timing wheel** (a
 calendar-queue hybrid) instead of a single binary heap.  The paper's
-delay-inflation machinery — SDIO watchdog ticks, beacon intervals,
-AcuteMon background packets — produces dense trains of short fixed-delay
-events, which is the workload a heap handles worst (O(log n) per event,
-all comparisons in Python) and a wheel handles in ~O(1).
+delay-inflation machinery — beacon intervals, TBTT wakes, AcuteMon
+background packets, per-packet MAC and bus delays — produces dense
+streams of short fixed-delay events, which is the workload a heap
+handles worst (O(log n) per event, all comparisons in Python) and a
+wheel handles in ~O(1).  (Idle timeouts such as the SDIO watchdog are
+single deadlines, not trains; see :meth:`Simulator.rearm`.)
 
 Geometry and ordering
 ---------------------

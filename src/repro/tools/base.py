@@ -15,7 +15,7 @@ def run_until_complete(sim, start, deadline=None, name="tool"):
     returns with the clock at the completing event.  Raises
     ``RuntimeError`` when nothing is left to fire (stalled) or when the
     measurement is still running after the first event past
-    ``deadline``.  Returns the completion result.
+    ``deadline``.
     """
     done = []
 
@@ -36,7 +36,6 @@ def run_until_complete(sim, start, deadline=None, name="tool"):
             # The deadline is checked before each event, so the first
             # event past it still fires and may complete the run.
             sim.step()
-    return done[0]
 
 
 class RttSample:

@@ -194,3 +194,50 @@ class TestPing2:
 
         median = statistics.median(tool.rtts())
         assert median > 0.088  # inflated beyond the true 80 ms + stack cost
+
+
+class TestRunUntilComplete:
+    """The ``run_sync`` driver: ``run()`` until the completion stops it."""
+
+    @staticmethod
+    def _after(sim, delay):
+        def start(on_complete):
+            sim.schedule(delay, on_complete, "result")
+        return start
+
+    def test_clock_stops_at_the_completing_event(self, sim):
+        from repro.tools.base import run_until_complete
+
+        sim.schedule_periodic(0.1, lambda: None)
+        run_until_complete(sim, self._after(sim, 0.35))
+        assert sim.now == 0.35
+        assert sim.pending() == 1  # the train is left armed
+
+    def test_stall_when_nothing_is_left(self, sim):
+        from repro.tools.base import run_until_complete
+
+        with pytest.raises(RuntimeError, match="t stalled: event heap empty"):
+            run_until_complete(sim, lambda on_complete: None, name="t")
+
+    def test_deadline_error(self, sim):
+        from repro.tools.base import run_until_complete
+
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(1.2, lambda: None)
+        with pytest.raises(RuntimeError, match="t did not finish by 0.5s"):
+            run_until_complete(sim, self._after(sim, 2.0), deadline=0.5,
+                               name="t")
+        assert sim.now == 1.0  # the first event past the deadline fired
+
+    def test_first_event_past_the_deadline_may_complete(self, sim):
+        from repro.tools.base import run_until_complete
+
+        run_until_complete(sim, self._after(sim, 0.7), deadline=0.5)
+        assert sim.now == 0.7
+
+    def test_synchronous_completion_runs_nothing(self, sim):
+        from repro.tools.base import run_until_complete
+
+        sim.schedule(0.1, lambda: None)
+        run_until_complete(sim, lambda on_complete: on_complete("now"))
+        assert sim.now == 0.0 and sim.pending() == 1
