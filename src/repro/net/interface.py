@@ -7,8 +7,6 @@ a time.  Taps (callbacks) observe frames in both directions — this is how
 ``tcpdump``-style wired captures are implemented.
 """
 
-import math
-
 ETHERNET_OVERHEAD = 38  # preamble + SFD + header + FCS + minimum IFG, bytes
 
 
@@ -77,7 +75,7 @@ class EthernetInterface:
             raise RuntimeError(f"interface {self.name or self.mac} has no link")
         if not self.egress.enqueue(frame):
             return False
-        if self._wake is None and self._busy_until != math.inf:
+        if self._wake is None:
             if self._sim.now >= self._busy_until:
                 self._transmit()
             else:
@@ -91,9 +89,6 @@ class EthernetInterface:
         Schedules the wake for the next frame when any is waiting.
         """
         frame = self.egress.dequeue()
-        # Busy while the taps and the link see the frame: a frame sent
-        # from inside them waits behind this one.
-        self._busy_until = math.inf
         for tap in self._taps:
             tap(frame, "tx")
         tx_time = self.link.transmit(self, frame)

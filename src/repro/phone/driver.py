@@ -207,8 +207,6 @@ class SdioBus:
             self.sim.rearm(event, self._anchor + index * self._period,
                            self.sim.reserve_seq())
             return
-        if self.state != BUS_AWAKE:
-            return
         self._transition(BUS_ASLEEP)
         self.sleep_count += 1
         self._slept_at = self.sim.now
