@@ -16,6 +16,7 @@ from repro.net.addresses import MacAddress, ip
 from repro.net.interface import EthernetFrame, EthernetInterface
 from repro.net.link import Link
 from repro.net.packet import Packet, UdpDatagram
+from repro.net.queues import DropTailQueue
 from repro.phone.chipset import ChipsetProfile
 from repro.phone.driver import BUS_ASLEEP, BUS_AWAKE, SdioBus
 from repro.sim.scheduler import Simulator
@@ -315,8 +316,6 @@ _bursts = st.lists(
 
 
 def _burst_log(interface_type, burst, packet_limit):
-    from repro.net.queues import DropTailQueue
-
     sim = Simulator(seed=1)
     link = Link(sim, bandwidth_bps=10e6, propagation_delay=5e-6)
     sink_a, sink_b = _Sink(sim), _Sink(sim)
